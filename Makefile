@@ -16,17 +16,22 @@ chaos:
 	$(GO) test -race -short ./internal/chaos/ ./internal/ddrtest/
 	$(GO) test -race -short -run 'Chaos|Partial|WaitCtxAbandon' ./internal/mpi/
 
-# verify is the pre-merge gate. The pipelined exchange gate runs by
-# name: the core pipelined differential sweep (depths 1/2/4 byte-identical
-# across seeded geometries, modes, and budget tiers, incl. composition
-# with the bounded step schedule), the pipelined planted-bug self-tests
-# (core and harness — a staging buffer recycled one round early must be
-# caught; these run WITHOUT -race because the planted bug is a genuine
-# data race the detector would fail before the harness's own check
-# fires), the budget depth clamp, the per-round Pack/Wire/Unpack timing
-# contract, the pipelined zero-alloc steady-state guard, the short
-# pipelined chaos property schedule, the distributed-FFT workload suite
-# under race, and a one-iteration FFT bench smoke.
+# verify is the pre-merge gate. Every exchange shape (alltoallw, p2p
+# rounds, fused, bounded steps, delta, multi) lowers to one step schedule
+# run by one interpreter, so the interpreter gate runs by name: the
+# golden wire trace (each shape's per-link tags and per-peer bytes on a
+# fixed 4-rank geometry), the per-exchange peak-staging reset, the
+# interpreter's differential sweep (depths 1/2/4 byte-identical across
+# seeded geometries, modes, and budget tiers, incl. composition with the
+# bounded step schedule), the pipelined planted-bug self-tests (core and
+# harness — a staging buffer recycled one step early must be caught;
+# these run WITHOUT -race because the planted bug is a genuine data race
+# the detector would fail before the harness's own check fires), the
+# budget depth clamp, the per-step Pack/Wire/Unpack timing contract, the
+# zero-alloc steady-state guards, the short pipelined chaos property
+# schedule, the distributed-FFT workload suite under race, a
+# one-iteration FFT bench smoke, and a brief fuzz of both geometry
+# decoders (the bytes every SetupDataMapping allgathers from peers).
 #
 # The memory-bounded compiler gate runs by
 # name: the differential sweep (bounded plans byte-identical to the
@@ -76,7 +81,10 @@ verify: chaos
 	$(GO) test -race -run 'TestRegridderResize|TestRegridderConnectFailureResetsState' ./internal/transit/
 	$(GO) test -race -run 'TestCompileDelta|TestDeltaCompilerCollective|TestDeltaExchange' ./internal/core/
 	$(GO) test -race -short -run 'TestResize' ./internal/ddrtest/
-	$(GO) test -run TestGoldenPlans ./internal/core/
+	$(GO) test -run 'TestGoldenPlans|TestGoldenWireTrace' ./internal/core/
+	$(GO) test -race -run 'TestGoldenWireTrace|TestLastPeakStagingResetsPerExchange|TestMulti|TestCompileDeltaPlantedBug' ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeGeometry -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBoxLists -fuzztime 10s ./internal/core/
 	$(GO) test -race -run 'TestBoundedDifferentialSweep|TestBoundedMeterHasTeeth|TestBoundedHarnessCatchesPlantedBug|TestBoundedBudgetTooSmall|TestBoundedPlanCacheKeyedByBudget|TestBoundedCachedPlanReplays|TestSingleShotFootprintClassRounded' ./internal/core/
 	$(GO) test -run 'TestGoldenBoundedPlans' ./internal/core/
 	$(GO) test -race -short -run 'TestBoundedProperty|TestHarnessCatchesBoundedPlantedBug' ./internal/ddrtest/

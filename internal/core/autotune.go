@@ -131,24 +131,24 @@ func (d *Descriptor) ensureTuned(c *mpi.Comm, p *Plan) {
 		}
 		d.sendStrat, d.recvStrat = s, s
 	default:
-		d.sendStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: true}, &p.sendE, d)
-		d.recvStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: false}, &p.recvE, d)
+		d.sendStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: true}, p.sched)
+		d.recvStrat = tuneDecision(tuneKey{fp: p.fp, transport: tn, send: false}, p.sched)
 	}
 	d.tunedFP, d.tunedTransport = p.fp, tn
 	d.applyStrategy(p)
 }
 
 // applyStrategy translates the resolved strategies into the flags and
-// plan state the exchange paths consume: the per-direction fast-path
+// schedule state the interpreter consumes: the per-direction fast-path
 // gates, run-list compilation for pack, and the selection counters.
 func (d *Descriptor) applyStrategy(p *Plan) {
 	d.zcSend = d.sendStrat != StrategyDatatype
 	d.zcRecv = d.recvStrat != StrategyDatatype
 	if d.sendStrat == StrategyPack {
-		compilePlanRuns(&p.sendE)
+		p.sched.compileRuns(true)
 	}
 	if d.recvStrat == StrategyPack {
-		compilePlanRuns(&p.recvE)
+		p.sched.compileRuns(false)
 	}
 	if d.metrics != nil {
 		rl := obs.RankLabel(p.rank)
@@ -163,30 +163,14 @@ func (d *Descriptor) applyStrategy(p *Plan) {
 	}
 }
 
-// compilePlanRuns swaps every strided Subarray entry of one direction's
-// table for its compiled run list, in place. Run lists pack the same
-// bytes in the same order, so a plan whose types were compiled stays
-// valid for every strategy — a descriptor that later resolves zerocopy
-// on another transport simply gathers through the table it already has.
-func compilePlanRuns(e *planEntries) {
-	for i, t := range e.types {
-		if e.spans[i].ok {
-			continue
-		}
-		if rl, ok := datatype.CompileRuns(t); ok {
-			e.types[i] = rl
-		}
-	}
-}
-
 // tuneDecision returns the cached strategy for key, probing exactly once
 // per key process-wide.
-func tuneDecision(key tuneKey, e *planEntries, d *Descriptor) PackStrategy {
+func tuneDecision(key tuneKey, s *schedule) PackStrategy {
 	v, _ := tuneCache.LoadOrStore(key, &tuneEntry{})
 	ent := v.(*tuneEntry)
 	ent.once.Do(func() {
 		tuneProbes.Add(1)
-		ent.strat = probeStrategy(e, !key.send, d)
+		ent.strat = probeStrategy(s, key.send)
 	})
 	return ent.strat
 }
@@ -203,20 +187,21 @@ const probeBudget = 4 << 20
 // direction's contiguous bytes (one memmove) that the other two hand to
 // the transport untouched. Pack must beat zerocopy by a margin to win —
 // measured noise should not flip the default.
-func probeStrategy(e *planEntries, unpack bool, d *Descriptor) PackStrategy {
-	// Representative region: the largest strided Subarray in the table.
+func probeStrategy(sched *schedule, send bool) PackStrategy {
+	unpack := !send
+	// Representative region: the largest strided Subarray the direction
+	// moves.
 	var rep *datatype.Subarray
 	repBytes, contigBytes := 0, 0
-	for i, t := range e.types {
-		n := t.PackedSize()
-		if e.spans[i].ok {
-			contigBytes += n
-			continue
+	sched.forSegments(send, func(sg *segment) {
+		if sg.span.ok {
+			contigBytes += sg.n
+			return
 		}
-		if s, ok := t.(*datatype.Subarray); ok && n > repBytes {
-			rep, repBytes = s, n
+		if s, ok := sg.t.(*datatype.Subarray); ok && sg.n > repBytes {
+			rep, repBytes = s, sg.n
 		}
-	}
+	})
 	if rep == nil {
 		// Nothing strided: fast paths cover everything.
 		return StrategyZeroCopy
@@ -227,10 +212,10 @@ func probeStrategy(e *planEntries, unpack bool, d *Descriptor) PackStrategy {
 	}
 
 	localBytes := rep.Array.Volume() * rep.ElemSize
-	local := d.stage(localBytes)
-	wire := d.stage(repBytes)
-	defer d.unstage(local)
-	defer d.unstage(wire)
+	local := mpi.GetBuffer(localBytes)
+	wire := mpi.GetBuffer(repBytes)
+	defer mpi.PutBuffer(local)
+	defer mpi.PutBuffer(wire)
 	iters := probeBudget / repBytes
 	if iters < 1 {
 		iters = 1

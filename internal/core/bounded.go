@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 )
@@ -21,8 +20,8 @@ import (
 // are packed greedily into steps such that no rank's modeled staging
 // (sends charged to the source, payloads to the destination, both at the
 // arena's class granularity) exceeds the budget within a step, and the
-// exchange executes the steps in order — slice, exchange, place — through
-// the same staging arena and chunked wire lanes as the one-shot paths.
+// steps lower into the same step schedule the one-shot paths use, run by
+// the same interpreter (interp.go).
 //
 // The schedule is a pure function of the global geometry, the element
 // size, and the budget, so every rank derives the identical slice list
@@ -37,9 +36,9 @@ import (
 // class sizes (mpi.BufferClassSize). Transport-internal transit copies
 // (mailbox deliveries not yet received, TCP socket buffers) are outside
 // the bound; they are themselves bounded by the transports' chunk lanes.
-// A live mpi.StagingMeter on the descriptor measures the real high-water
-// mark of every bounded exchange, and the test harness asserts measured
-// peak <= budget at every tier down to the one-chunk minimum.
+// The interpreter's live mpi.StagingMeter measures the real high-water
+// mark of every exchange, and the test harness asserts measured peak <=
+// budget at every tier down to the one-chunk minimum.
 
 // ErrBudgetTooSmall reports a WithMemoryBudget value below the smallest
 // staging-arena class needed to move even a single element.
@@ -61,32 +60,17 @@ type boundedSlice struct {
 	bytes    int      // region volume × element size
 	tag      int
 	step     int
-
-	// Local halves, built only on the ranks that execute the slice.
-	sendT    datatype.Type // non-nil when src is the local rank
-	recvT    datatype.Type // non-nil when dst is the local rank
-	sendSpan contigSpan
-	recvSpan contigSpan
 }
 
-// boundedPlan is the compiled step sequence plus this rank's flattened
-// execution schedule, precomputed so the exchange walks plain index
-// ranges with no per-call filtering or allocation.
+// boundedPlan is the compiled step sequence: the global slice list every
+// rank derives identically, and this rank's lowering of it into the step
+// schedule the interpreter runs.
 type boundedPlan struct {
 	budget   int // configured ceiling, bytes
 	maxSlice int // per-slice payload cap, bytes
 	steps    int
 	slices   []boundedSlice
-
-	// This rank's slice indices in execution order, with [steps+1]
-	// offset tables delimiting each step's range.
-	sendIdx []int // src == rank (self included), global order
-	recvIdx []int // dst == rank && src != rank
-	sendOff []int
-	recvOff []int
-
-	wireBytes int64 // bytes this rank sends to other ranks
-	peak      int   // modeled worst per-step footprint of this rank
+	sched    *schedule
 }
 
 // WithMemoryBudget bounds the exchange-layer staging of every
@@ -121,9 +105,10 @@ func (d *Descriptor) BoundedSteps() int {
 }
 
 // LastPeakStaging reports the measured high-water mark of exchange-layer
-// staging bytes during the most recent bounded ReorganizeData call (0
-// before the first, and 0 when the one-shot path ran — the meter only
-// arms on the bounded backend).
+// staging bytes — pack buffers, local-copy staging, and leased receive
+// bytes — during the most recent ReorganizeData call (0 before the
+// first). Every exchange resets and measures it; alltoallw exchanges
+// stage inside the collective and report only their local copies.
 func (d *Descriptor) LastPeakStaging() int64 { return d.lastPeakStaging }
 
 // maxSliceBytes returns the largest slice payload whose class-rounded
@@ -259,8 +244,10 @@ func forEachOverlap(allChunks [][]grid.Box, allNeeds []grid.Box, f func(src, chu
 
 // compileBounded builds the bounded step schedule for plan p under the
 // given budget. The slice list and step boundaries depend only on the
-// global geometry, elemSize, and budget; the local send/recv types are
-// built only for p.rank's slices.
+// global geometry, elemSize, and budget; the lowering into steps builds
+// types only for p.rank's slices: a send message per outgoing slice, a
+// receive message per incoming one, a local copy per self slice, each on
+// the slice's own tag.
 func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 	maxSlice := maxSliceBytes(budget)
 	if maxSlice < p.elemSize {
@@ -270,14 +257,16 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 	maxElems := maxSlice / p.elemSize
 
 	b := &boundedPlan{budget: budget, maxSlice: maxSlice}
+	s := &schedule{bounded: true}
 
 	// Enumerate slices in the canonical global order, packing them
 	// greedily into steps: a slice whose class-rounded charge would push
 	// its source's or destination's running step load past the budget
 	// closes the step. Every slice fits an empty step by construction,
-	// so the packer always terminates.
+	// so the packer always terminates. The order is step-monotone, so
+	// this rank's steps are appended as they open.
 	load := make([]int, p.nProcs)
-	step := 0
+	stepNo := 0
 	var boxes []grid.Box
 	var err error
 	forEachOverlap(p.allChunks, p.allNeeds, func(src, ci, dst int, ov grid.Box) {
@@ -289,112 +278,104 @@ func compileBounded(p *Plan, budget int) (*boundedPlan, error) {
 			bytes := region.Volume() * p.elemSize
 			l := mpi.BufferClassSize(bytes)
 			if load[src]+l > budget || (dst != src && load[dst]+l > budget) {
-				step++
+				stepNo++
 				clear(load)
 			}
 			load[src] += l
 			if dst != src {
 				load[dst] += l
 			}
+			// This rank's running step load is its modeled footprint.
+			s.footprint = max(s.footprint, load[p.rank])
 			sl := boundedSlice{
 				src: src, dst: dst, chunk: ci, region: region,
-				bytes: bytes, tag: boundedTagBase + len(b.slices), step: step,
+				bytes: bytes, tag: boundedTagBase + len(b.slices), step: stepNo,
 			}
+			b.slices = append(b.slices, sl)
+			if src != p.rank && dst != p.rank {
+				continue
+			}
+			for len(s.steps) <= stepNo {
+				s.steps = append(s.steps, step{})
+			}
+			st := &s.steps[stepNo]
+			var send, recv segment
 			if src == p.rank {
-				sl.sendT, sl.sendSpan, err = boundedType(p.elemSize, p.allChunks[src][ci], region, dst, false)
-				if err != nil {
+				if send, err = boundedSegment(ci, p.elemSize, p.allChunks[src][ci], region, dst, false); err != nil {
 					return
 				}
 			}
 			if dst == p.rank {
-				sl.recvT, sl.recvSpan, err = boundedType(p.elemSize, p.need, region, src, true)
-				if err != nil {
+				if recv, err = boundedSegment(0, p.elemSize, p.need, region, src, true); err != nil {
 					return
 				}
 			}
-			b.slices = append(b.slices, sl)
+			switch {
+			case src == dst:
+				st.copies = append(st.copies, localCopy{src: send, dst: recv})
+			case src == p.rank:
+				st.sends = addMessage(st.sends, dst, sl.tag, send)
+			default:
+				st.recvs = addMessage(st.recvs, src, sl.tag, recv)
+			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	if len(b.slices) > 0 {
-		b.steps = step + 1
+		b.steps = stepNo + 1
 	}
-
-	// Flatten this rank's schedule with per-step offsets. Slice order is
-	// step-monotone, so one pass fills both lists and their offsets.
-	b.sendOff = make([]int, b.steps+1)
-	b.recvOff = make([]int, b.steps+1)
-	peakStep, peakLoad := -1, 0
-	for i := range b.slices {
-		sl := &b.slices[i]
-		if sl.src == p.rank {
-			b.sendIdx = append(b.sendIdx, i)
-			if sl.dst != p.rank {
-				b.wireBytes += int64(sl.bytes)
-			}
-		}
-		if sl.dst == p.rank && sl.src != p.rank {
-			b.recvIdx = append(b.recvIdx, i)
-		}
-		if sl.src == p.rank || sl.dst == p.rank {
-			l := mpi.BufferClassSize(sl.bytes)
-			if sl.step != peakStep {
-				peakStep, peakLoad = sl.step, 0
-			}
-			peakLoad += l
-			b.peak = max(b.peak, peakLoad)
-		}
-		b.sendOff[sl.step+1] = len(b.sendIdx)
-		b.recvOff[sl.step+1] = len(b.recvIdx)
+	for len(s.steps) < b.steps {
+		s.steps = append(s.steps, step{})
 	}
-	for s := 1; s <= b.steps; s++ {
-		b.sendOff[s] = max(b.sendOff[s], b.sendOff[s-1])
-		b.recvOff[s] = max(b.recvOff[s], b.recvOff[s-1])
+	for i := range s.steps {
+		s.steps[i].seal()
 	}
+	b.sched = s
 	return b, nil
 }
 
-// boundedType builds one local half of a slice: the subarray addressing
-// region inside base (the owned chunk for sends, the need box for
-// receives) plus its contiguity span.
-func boundedType(elemSize int, base, region grid.Box, peer int, recv bool) (datatype.Type, contigSpan, error) {
-	t, err := datatype.NewSubarray(elemSize, base, region)
+// boundedSegment builds one local half of a slice: the segment
+// addressing region inside base (the owned chunk for sends, the need box
+// for receives).
+func boundedSegment(buf, elemSize int, base, region grid.Box, peer int, recv bool) (segment, error) {
+	seg, err := newSegment(buf, elemSize, base, region)
 	if err != nil {
 		dir := "bounded send type to"
 		if recv {
 			dir = "bounded recv type from"
 		}
-		return nil, contigSpan{}, fmt.Errorf("core: %s rank %d: %w", dir, peer, err)
+		return segment{}, fmt.Errorf("core: %s rank %d: %w", dir, peer, err)
 	}
-	off, n, ok := t.ContiguousSpan()
-	return t, contigSpan{off: off, n: n, ok: ok}, nil
+	return seg, nil
 }
 
-// ensureBounded attaches (or clears) the plan's bounded schedule
-// according to the descriptor's budget: compiled when the geometry's
-// worst single-shot footprint exceeds the budget, absent otherwise. The
-// decision derives from collectively shared inputs only, so every rank
-// takes the same branch. Plans are cached per descriptor and the budget
-// and mode are descriptor constants, so attaching once is stable across
-// cache replays.
-func (d *Descriptor) ensureBounded(p *Plan) error {
-	if d.budget <= 0 {
+// ensureSchedule attaches the schedule the descriptor's exchanges run:
+// the bounded step schedule when the budget demands one, the plan
+// lowered for the exchange mode otherwise. The bounded backend is
+// compiled when the geometry's worst single-shot footprint exceeds the
+// budget — a decision derived from collectively shared inputs only, so
+// every rank takes the same branch. Plans are cached per descriptor and
+// the budget and mode are descriptor constants, so lowering once is
+// stable across cache replays.
+func (d *Descriptor) ensureSchedule(p *Plan) error {
+	if d.budget > 0 && p.SingleShotFootprint(d.mode) > d.budget {
+		if p.bounded == nil || p.bounded.budget != d.budget {
+			b, err := compileBounded(p, d.budget)
+			if err != nil {
+				return err
+			}
+			p.bounded, p.sched = b, b.sched
+		}
 		return nil
 	}
-	if p.SingleShotFootprint(d.mode) <= d.budget {
-		p.bounded = nil
-		return nil
+	if p.bounded != nil {
+		p.bounded, p.sched = nil, nil
 	}
-	if p.bounded != nil && p.bounded.budget == d.budget {
-		return nil
+	if p.sched == nil {
+		p.sched = lowerPlan(p, d.mode)
 	}
-	b, err := compileBounded(p, d.budget)
-	if err != nil {
-		return err
-	}
-	p.bounded = b
 	return nil
 }
 

@@ -609,3 +609,56 @@ func BenchmarkBoundedExchange(b *testing.B) {
 		})
 	}
 }
+
+// TestLastPeakStagingResetsPerExchange pins that every exchange measures
+// its own peak: a budgeted descriptor that first maps a geometry needing
+// the bounded backend and then one that fits must not keep reporting the
+// bounded exchange's peak. The fitting geometry moves only a strided
+// self overlap into a contiguous need, which stages nothing, so its
+// exchanges peak at zero — in the alltoallw mode and at depth 1 alike.
+func TestLastPeakStagingResetsPerExchange(t *testing.T) {
+	const budget = 1 << 10
+	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint} {
+		t.Run(mode.String(), func(t *testing.T) {
+			err := mpi.Launch(2, func(c *mpi.Comm) error {
+				r := c.Rank()
+				d, err := NewDescriptor(2, Layout2D, Float32,
+					WithExchangeMode(mode), WithPipelineDepth(1), WithMemoryBudget(budget))
+				if err != nil {
+					return err
+				}
+				slab := grid.Box2(0, 32*r, 64, 32)
+				run := func(need grid.Box) error {
+					if err := d.SetupDataMapping(c, []grid.Box{slab}, need); err != nil {
+						return err
+					}
+					dst := make([]byte, need.Volume()*4)
+					if err := d.ReorganizeData(c, [][]byte{fillBox(slab, 4)}, dst); err != nil {
+						return err
+					}
+					return checkBox(dst, need, 4, nil, 0)
+				}
+				if err := run(grid.Box2(32*r, 0, 32, 64)); err != nil {
+					return err
+				}
+				if d.BoundedSteps() == 0 || d.LastPeakStaging() == 0 {
+					return fmt.Errorf("rank %d: column regrid ran %d bounded steps at peak %d; want a measured bounded exchange",
+						r, d.BoundedSteps(), d.LastPeakStaging())
+				}
+				if err := run(grid.Box2(8, 32*r+8, 4, 4)); err != nil {
+					return err
+				}
+				if d.BoundedSteps() != 0 {
+					return fmt.Errorf("rank %d: fitting geometry still selected %d bounded steps", r, d.BoundedSteps())
+				}
+				if peak := d.LastPeakStaging(); peak != 0 {
+					return fmt.Errorf("rank %d: staging-free exchange reports peak %d, a stale value", r, peak)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

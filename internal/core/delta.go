@@ -17,11 +17,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"time"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 )
@@ -49,24 +50,19 @@ type DeltaPlan struct {
 
 	// keeps are the locally retained regions (newNeed ∩ oldNeed), copied
 	// from the old buffer into the new one without touching the wire.
-	keeps   []grid.Box
-	keepSrc []datatype.Type // base oldNeed
-	keepDst []datatype.Type // base newNeed
-	uncov   []grid.Box      // new-need regions no old rank held; left untouched
+	keeps []grid.Box
+	uncov []grid.Box // new-need regions no old rank held; left untouched
 
-	// sends/recvs hold the changed-ownership regions grouped per peer:
-	// peer i's regions are sends[sendOff[i]:sendOff[i+1]], concatenated in
-	// that order into one wire message. The grouping order is identical on
-	// both sides of every pair, so the receiver unpacks segments in the
-	// order the sender packed them.
-	sends     []DeltaRegion
-	sendTypes []datatype.Type // base oldNeed
-	sendPeers []int
-	sendOff   []int
-	recvs     []DeltaRegion
-	recvTypes []datatype.Type // base newNeed
-	recvPeers []int
-	recvOff   []int
+	// sends/recvs hold the changed-ownership regions sorted by peer. Each
+	// peer's run becomes one wire message whose segments follow that
+	// order, which is identical on both sides of every pair, so the
+	// receiver unpacks segments in the order the sender packed them.
+	sends []DeltaRegion
+	recvs []DeltaRegion
+
+	// sched is the one-step schedule the resize exchange runs: one
+	// message per peer on deltaTag, keeps as local copies.
+	sched *schedule
 }
 
 // Rank returns the rank the plan was compiled for.
@@ -216,66 +212,96 @@ func CompileDelta(elemSize int, oldNeeds, newNeeds []grid.Box) ([]*DeltaPlan, er
 	return plans, nil
 }
 
-// finalize groups a plan's regions per peer and compiles the subarray
-// types the exchange packs and unpacks with, so execution pays no
-// per-call geometry analysis.
+// finalize sorts a plan's regions per peer and lowers them into the
+// one-step schedule the exchange runs, so execution pays no per-call
+// geometry analysis: sends pack from the old need buffer, receives and
+// keeps land in the new one.
 func (p *DeltaPlan) finalize() error {
-	var err error
-	groupRegions(p.sends, &p.sendPeers, &p.sendOff)
-	groupRegions(p.recvs, &p.recvPeers, &p.recvOff)
-	if p.sendTypes, err = regionTypes(p.elemSize, p.oldNeed, p.sends, "send"); err != nil {
-		return err
+	byPeer := func(rs []DeltaRegion) {
+		sort.SliceStable(rs, func(a, b int) bool { return rs[a].Peer < rs[b].Peer })
 	}
-	if p.recvTypes, err = regionTypes(p.elemSize, p.newNeed, p.recvs, "recv"); err != nil {
-		return err
+	byPeer(p.sends)
+	byPeer(p.recvs)
+	var st step
+	for _, r := range p.sends {
+		seg, err := newSegment(0, p.elemSize, p.oldNeed, r.Region)
+		if err != nil {
+			return fmt.Errorf("core: delta send type for rank %d region %v: %w", r.Peer, r.Region, err)
+		}
+		st.sends = addMessage(st.sends, r.Peer, deltaTag, seg)
+	}
+	for _, r := range p.recvs {
+		seg, err := newSegment(0, p.elemSize, p.newNeed, r.Region)
+		if err != nil {
+			return fmt.Errorf("core: delta recv type for rank %d region %v: %w", r.Peer, r.Region, err)
+		}
+		st.recvs = addMessage(st.recvs, r.Peer, deltaTag, seg)
 	}
 	for _, k := range p.keeps {
-		src, err := datatype.NewSubarray(p.elemSize, p.oldNeed, k)
+		src, err := newSegment(0, p.elemSize, p.oldNeed, k)
 		if err != nil {
 			return fmt.Errorf("core: delta keep source %v: %w", k, err)
 		}
-		dst, err := datatype.NewSubarray(p.elemSize, p.newNeed, k)
+		dst, err := newSegment(0, p.elemSize, p.newNeed, k)
 		if err != nil {
 			return fmt.Errorf("core: delta keep destination %v: %w", k, err)
 		}
-		p.keepSrc = append(p.keepSrc, src)
-		p.keepDst = append(p.keepDst, dst)
+		st.copies = append(st.copies, localCopy{src: src, dst: dst})
 	}
+	st.seal()
+	p.sched = &schedule{steps: []step{st}}
 	return nil
 }
 
-// groupRegions stably sorts regions by peer (preserving the deterministic
-// discovery order within each peer — the wire segment order both sides
-// agree on) and builds the CSR peer grouping.
-func groupRegions(regions []DeltaRegion, peers *[]int, off *[]int) {
-	sort.SliceStable(regions, func(a, b int) bool { return regions[a].Peer < regions[b].Peer })
-	*peers = (*peers)[:0]
-	*off = append((*off)[:0], 0)
-	for i := 0; i < len(regions); {
-		j := i
-		for j < len(regions) && regions[j].Peer == regions[i].Peer {
-			j++
-		}
-		*peers = append(*peers, regions[i].Peer)
-		*off = append(*off, j)
-		i = j
-	}
+// deltaTag is the tag of the resize exchange round. It sits in the DDR
+// reserved range above the per-round exchange tags so a resize can be
+// in flight on a communicator without colliding with steady-state
+// redistribution traffic (or with fault schedules that target it).
+const deltaTag = ddrTagBase + (1 << 19)
+
+// DeltaExchangeTag exports the resize round's tag so fault-injection
+// schedules can target (or spare) resize traffic specifically.
+const DeltaExchangeTag = deltaTag
+
+// Exchange executes the resize move fail-fast: oldData holds this rank's
+// old need box, newData receives the new one (nil for an empty side).
+// Cells of the new need covered by no old rank are left untouched.
+func (p *DeltaPlan) Exchange(c *mpi.Comm, oldData, newData []byte) error {
+	return p.ExchangeCtx(nil, c, oldData, newData, 0)
 }
 
-// regionTypes builds the subarray type of every region against base.
-func regionTypes(elemSize int, base grid.Box, regions []DeltaRegion, dir string) ([]datatype.Type, error) {
-	if len(regions) == 0 {
-		return nil, nil
-	}
-	out := make([]datatype.Type, len(regions))
-	for i, reg := range regions {
-		t, err := datatype.NewSubarray(elemSize, base, reg.Region)
-		if err != nil {
-			return nil, fmt.Errorf("core: delta %s type for rank %d region %v: %w", dir, reg.Peer, reg.Region, err)
+// ExchangeCtx is Exchange with cancellation and graceful degradation: a
+// positive deadline bounds the whole exchange, and within it peer-loss
+// or timeout failures degrade the move instead of aborting — the call
+// returns a *PartialError whose Missing boxes are the new-need regions
+// whose old holder was lost (their cells stay untouched, per the paper's
+// incomplete-receive rule). ctx cancellation always aborts.
+func (p *DeltaPlan) ExchangeCtx(ctx context.Context, c *mpi.Comm, oldData, newData []byte, deadline time.Duration) error {
+	if ctx != nil {
+		if ctx.Done() == nil {
+			ctx = nil
+		} else if err := ctx.Err(); err != nil {
+			return err
 		}
-		out[i] = t
 	}
-	return out, nil
+	if c.Size() != p.nRanks || c.Rank() != p.rank {
+		return fmt.Errorf("core: communicator does not match the one the delta plan was compiled for: %w", ErrCommMismatch)
+	}
+	if want := p.volBytes(p.oldNeed); len(oldData) != want {
+		return fmt.Errorf("core: old buffer has %d bytes, box %v needs %d: %w", len(oldData), p.oldNeed, want, ErrBufferSize)
+	}
+	if want := p.volBytes(p.newNeed); len(newData) != want {
+		return fmt.Errorf("core: new buffer has %d bytes, box %v needs %d: %w", len(newData), p.newNeed, want, ErrBufferSize)
+	}
+	x := interp{zcSend: true, zcRecv: true}
+	return x.run(ctx, c, p.sched, [][]byte{oldData}, [][]byte{newData}, 1, deadline)
+}
+
+func (p *DeltaPlan) volBytes(b grid.Box) int {
+	if boxEmpty(b) {
+		return 0
+	}
+	return b.Volume() * p.elemSize
 }
 
 // DeltaCompiler is the collective front end of CompileDelta: ranks agree
@@ -368,29 +394,32 @@ func (dc *DeltaCompiler) Compile(c *mpi.Comm, oldNeed, newNeed grid.Box) (*Delta
 
 // PerturbDeltaForTest shifts one of the plan's receive regions by one
 // cell along the first axis where the shifted box stays inside the new
-// need, simulating an off-by-one in the delta overlap math. It exists so
-// the resize property harness can prove it detects delta-compilation
+// need, simulating an off-by-one in the delta overlap math: the
+// schedule's receive segment scatters into the shifted region. It exists
+// so the resize property harness can prove it detects delta-compilation
 // bugs. Returns false when no region can be shifted. Never call outside
 // tests.
 func (p *DeltaPlan) PerturbDeltaForTest() bool {
-	for i := range p.recvs {
-		reg := p.recvs[i].Region
-		for axis := 0; axis < reg.NDims; axis++ {
-			shifted := reg
-			shifted.Offset[axis]++
-			if !p.newNeed.Contains(shifted) {
-				shifted.Offset[axis] -= 2
+	if len(p.sched.steps) == 0 {
+		return false
+	}
+	for _, m := range p.sched.steps[0].recvs {
+		for i := range m.segs {
+			sg := &m.segs[i]
+			for axis := 0; axis < sg.region.NDims; axis++ {
+				shifted := sg.region
+				shifted.Offset[axis]++
 				if !p.newNeed.Contains(shifted) {
-					continue
+					shifted.Offset[axis] -= 2
+					if !p.newNeed.Contains(shifted) {
+						continue
+					}
+				}
+				if seg, err := newSegment(sg.buf, p.elemSize, p.newNeed, shifted); err == nil {
+					*sg = seg
+					return true
 				}
 			}
-			t, err := datatype.NewSubarray(p.elemSize, p.newNeed, shifted)
-			if err != nil {
-				continue
-			}
-			p.recvs[i].Region = shifted
-			p.recvTypes[i] = t
-			return true
 		}
 	}
 	return false

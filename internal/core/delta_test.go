@@ -96,14 +96,16 @@ func runDeltaExchange(t *testing.T, plans []*DeltaPlan, oldNeeds, newNeeds []gri
 // compiler and exchange — each rank owns exactly its old need box as one
 // chunk — returning the gathered need buffers. Old needs may overlap, so
 // validation stays off; overlapping owners carry identical canonical
-// bytes, making the result well defined.
+// bytes, making the result well defined. The unpack runs on one worker:
+// overlapping owners scatter into the same need cells, which parallel
+// workers would write concurrently.
 func runFullOracle(t *testing.T, oldNeeds, newNeeds []grid.Box, elemSize int) [][]byte {
 	t.Helper()
 	n := len(oldNeeds)
 	out := make([][]byte, n)
 	err := mpi.Launch(n, func(c *mpi.Comm) error {
 		r := c.Rank()
-		desc, err := NewDescriptor(n, Layout2D, Uint8, WithElemSize(elemSize))
+		desc, err := NewDescriptor(n, Layout2D, Uint8, WithElemSize(elemSize), WithParallelism(1))
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"ddr/internal/grid"
-	"ddr/internal/mpi"
 	"ddr/internal/obs"
 	"ddr/internal/trace"
 )
@@ -143,7 +142,6 @@ type Descriptor struct {
 	elemSizeSet bool // WithElemSize was given (even an invalid value)
 	mode        ExchangeMode
 	validate    bool
-	pooled      bool          // stage wire buffers through the shared arena
 	zeroCopy    bool          // skip staging for contiguous regions
 	autotune    bool          // measured pack-strategy selection at first use
 	forcedStrat PackStrategy  // WithPackStrategy override; StrategyAuto probes
@@ -152,50 +150,29 @@ type Descriptor struct {
 	depth       int           // WithPipelineDepth; rounds in flight at once
 	tracer      *trace.Recorder
 	metrics     *obs.Registry
-	flight      *obs.FlightRecorder // nil unless WithFlightRecorder
-	cacheCap    int                 // plan-cache capacity; <= 0 disables
+	cacheCap    int // plan-cache capacity; <= 0 disables
 
 	plan                   *Plan             // nil until SetupDataMapping
 	cache                  *planCache[*Plan] // nil when caching is disabled
 	cacheHits, cacheMisses atomic.Int64
-	timings                []RoundTiming
-	obsv                   *exchObs // nil unless a tracer or registry is attached
 
 	// exchSeq counts ReorganizeData calls on this descriptor. The call is
 	// collective, so the counter advances in lockstep on every rank;
 	// combined with the plan's collectively agreed geometry fingerprint it
 	// mints exchange IDs that match across ranks without a message.
-	exchSeq    uint64
-	lastExchID uint64 // ID minted by the most recent exchange
+	exchSeq uint64
 
-	// Resolved pack strategies and the per-direction fast-path gates the
-	// exchange paths read. ensureTuned refreshes them whenever the plan
-	// fingerprint or the transport underneath changes.
+	// Resolved pack strategies. ensureTuned refreshes them (and the
+	// interpreter's fast-path gates) whenever the plan fingerprint or the
+	// transport underneath changes.
 	sendStrat, recvStrat PackStrategy
-	zcSend, zcRecv       bool
 	tunedFP              uint64
 	tunedTransport       string
 
-	eng     engine // pack/unpack worker pool + reusable job batch
-	scratch exchScratch
-
-	// meter is the live staging accountant of the bounded exchange: every
-	// pack buffer and held receive payload of a bounded step is charged
-	// against it, so the measured high-water mark (lastPeakStaging) is the
-	// ground truth the budget-enforcement tests assert against.
-	meter           mpi.StagingMeter
-	lastPeakStaging int64
-
-	// Pipeline state: the depth the most recent exchange actually ran at
-	// (after geometry and budget clamping), its overlap ratio, the cached
-	// single-shot footprint the budget clamp divides by (recomputed when
-	// the plan fingerprint changes), and the test-only early-recycle
-	// perturbation (see PerturbPipelineForTest).
-	lastDepth   int
-	lastOverlap float64
-	pipeShotFP  uint64
-	pipeShot    int
-	pipePerturb bool
+	// interp is the schedule interpreter's state: worker pool, staging
+	// meter, slot ring, observation handles, and the most recent
+	// exchange's timings, depth, overlap, and peak staging.
+	interp
 }
 
 // exchObs is the observation context threaded through the exchange
@@ -375,14 +352,6 @@ func WithPlanCache(n int) Option {
 	return func(d *Descriptor) { d.cacheCap = n }
 }
 
-// WithBufferPooling toggles staging-buffer pooling (default on). When on,
-// wire buffers cycle through a process-wide arena so repeated exchanges
-// on one plan allocate nothing in steady state; turn it off to isolate
-// allocator effects in measurements.
-func WithBufferPooling(enabled bool) Option {
-	return func(d *Descriptor) { d.pooled = enabled }
-}
-
 // WithZeroCopy toggles the contiguous fast path (default on). When on,
 // regions detected as contiguous at plan-compile time skip wire staging:
 // sends hand the owned buffer's sub-slice directly to the transport and
@@ -410,7 +379,6 @@ func NewDescriptor(nProcs int, layout Layout, elem ElemType, opts ...Option) (*D
 		layout:   layout,
 		elem:     elem,
 		elemSize: elem.Size(),
-		pooled:   true,
 		zeroCopy: true,
 		autotune: true,
 		cacheCap: 8,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ddr/internal/datatype"
-	"ddr/internal/mpi"
 )
 
 // The pack/unpack engine: every staging copy of an exchange is expressed
@@ -122,56 +121,13 @@ func (e *engine) runJobs(o *exchObs, jobs []exchJob) {
 	wg.Wait()
 }
 
-// exchScratch is the per-call working state ReorganizeData reuses across
-// calls so a replayed plan's exchanges are allocation-free.
-type exchScratch struct {
-	wires  [][]byte       // per-send-peer outgoing wire (staged or zero-copy alias)
-	staged [][]byte       // staged wires to recycle once sent
-	datas  [][]byte       // received payloads pending the unpack batch
-	reqs   []*mpi.Request // cancellable-path receive requests
-	slots  []pipeSlot     // pipelined-mode ring of in-flight round state
-
-	// Dense alltoallw rows, materialized per round from the plan's sparse
-	// tables (the collective's wire format wants one slot per peer).
-	// Allocated once per descriptor and reset to the Empty sentinel after
-	// each call, so the steady state allocates nothing.
-	rowSend []datatype.Type
-	rowRecv []datatype.Type
-}
-
 // parallelism resolves the configured worker count, defaulting to
 // GOMAXPROCS.
-func (d *Descriptor) parallelism() int {
-	if d.eng.par <= 0 {
+func (x *interp) parallelism() int {
+	if x.eng.par <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return d.eng.par
-}
-
-// stage returns a wire buffer of n bytes, drawn from the shared arena
-// when pooling is enabled.
-func (d *Descriptor) stage(n int) []byte {
-	if d.pooled {
-		return mpi.GetBuffer(n)
-	}
-	return make([]byte, n)
-}
-
-// unstage recycles a staging buffer obtained from stage.
-func (d *Descriptor) unstage(b []byte) {
-	if d.pooled {
-		mpi.PutBuffer(b)
-	}
-}
-
-// releaseRecv returns a received message payload to the staging arena.
-// Unlike unstage it is unconditional: every payload a Recv hands out is
-// arena-backed (the in-process transport's eager copy and the TCP read
-// loop both draw from the arena), so the consumer returns it regardless
-// of how this descriptor stages its own sends. This is the ownership
-// hand-off that keeps the zero-copy TCP receive path allocation-free.
-func (d *Descriptor) releaseRecv(b []byte) {
-	mpi.PutBuffer(b)
+	return x.eng.par
 }
 
 // directUnpack copies an already-contiguous payload straight into the

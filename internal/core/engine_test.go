@@ -370,16 +370,15 @@ func benchEngineConfig(b *testing.B, mode ExchangeMode, opts ...Option) {
 }
 
 // BenchmarkReorganizeEngine compares the staging strategies on the same
-// exchange: fully serial unpooled staging, pooled staging, the parallel
-// engine, and the pooled zero-copy fast path (the default).
+// exchange: serial staging, the parallel engine, and the zero-copy fast
+// path (the default). Staging always draws from the pooled arena.
 func BenchmarkReorganizeEngine(b *testing.B) {
 	configs := []struct {
 		name string
 		opts []Option
 	}{
-		{"serial", []Option{WithParallelism(1), WithBufferPooling(false), WithZeroCopy(false)}},
-		{"pooled", []Option{WithParallelism(1), WithBufferPooling(true), WithZeroCopy(false)}},
-		{"parallel", []Option{WithBufferPooling(true), WithZeroCopy(false)}},
+		{"serial", []Option{WithParallelism(1), WithZeroCopy(false)}},
+		{"parallel", []Option{WithZeroCopy(false)}},
 		{"zerocopy", nil},
 	}
 	for _, mode := range []ExchangeMode{ModeAlltoallw, ModePointToPoint, ModePointToPointFused} {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ddr/internal/datatype"
 	"ddr/internal/grid"
 )
 
@@ -94,4 +95,23 @@ func TestCompilerEquivalenceDegenerate(t *testing.T) {
 		}
 		plansIdentical(t, "degenerate", brute, indexed)
 	}
+}
+
+// at returns round r's entry for peer, or the Empty sentinel when the
+// pair exchanges nothing. Peers are sorted within a round, so the lookup
+// is a binary search over that round's few entries.
+func (e *planEntries) at(r, peer int) (datatype.Type, contigSpan) {
+	lo, hi := e.off[r], e.off[r+1]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.peers[mid] < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < e.off[r+1] && e.peers[lo] == peer {
+		return e.types[lo], e.spans[lo]
+	}
+	return datatype.Empty{}, contigSpan{}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ddr/internal/datatype"
@@ -44,33 +43,21 @@ type Plan struct {
 	// overlap math did. Entries carry the packing type and its contiguity
 	// span together (a contiguous send needs no pack, a contiguous
 	// receive no scatter — detected at compile time so the exchange fast
-	// paths pay no per-call analysis). The alltoallw exchange, whose wire
-	// format is a dense row per round, materializes rows into reusable
-	// descriptor scratch.
+	// paths pay no per-call analysis). Lowering turns them into the step
+	// schedule the interpreter runs.
 	sendE planEntries // packing from the round's chunk buffer
 	recvE planEntries // scattering into the need buffer
-
-	sendPeers [][]int // [round] peers with non-empty sends (excluding self)
-	recvPeers [][]int // [round] peers with non-empty receives (excluding self)
-
-	// Fused-mode schedule, precomputed so the fused exchange allocates
-	// nothing per call: the peers this rank exchanges fused messages
-	// with, and — parallel to those peer lists — the total fused bytes
-	// per peer plus, when exactly one round contributes to a peer's
-	// message, that round's index (enabling the zero-copy send/receive
-	// of a single contiguous region).
-	fusedSendPeers []int
-	fusedRecvPeers []int
-	fusedSendBytes []int // parallel to fusedSendPeers
-	fusedRecvBytes []int // parallel to fusedRecvPeers
-	fusedSendOne   []int // parallel to fusedSendPeers; sole round, or -1
-	fusedRecvOne   []int // parallel to fusedRecvPeers; sole round, or -1
 
 	// bounded is the memory-bounded step schedule, attached by
 	// ensureBounded when a WithMemoryBudget descriptor maps a geometry
 	// whose single-shot footprint exceeds the budget, nil otherwise (see
 	// bounded.go).
 	bounded *boundedPlan
+
+	// sched is the step schedule ReorganizeData interprets: the bounded
+	// schedule when one is attached, otherwise the plan lowered for the
+	// descriptor's exchange mode (schedule.go). Nil for offline plans.
+	sched *schedule
 }
 
 // planEntries is one direction's sparse exchange table: the overlap
@@ -83,25 +70,6 @@ type planEntries struct {
 	spans []contigSpan
 
 	left []int // compile-time scratch: unassigned slots per round
-}
-
-// at returns round r's entry for peer, or the Empty sentinel when the
-// pair exchanges nothing. Peers are sorted within a round, so the lookup
-// is a binary search over that round's few entries.
-func (e *planEntries) at(r, peer int) (datatype.Type, contigSpan) {
-	lo, hi := e.off[r], e.off[r+1]
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.peers[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < e.off[r+1] && e.peers[lo] == peer {
-		return e.types[lo], e.spans[lo]
-	}
-	return datatype.Empty{}, contigSpan{}
 }
 
 // contigSpan records whether a plan entry is contiguous in its local
@@ -174,7 +142,7 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 			return fmt.Errorf("core: plan cache agreement: %w", err)
 		}
 		if ok {
-			if err := d.ensureBounded(cached); err != nil {
+			if err := d.ensureSchedule(cached); err != nil {
 				return err
 			}
 			d.plan = cached
@@ -225,7 +193,7 @@ func (d *Descriptor) SetupDataMapping(c *mpi.Comm, own []grid.Box, need grid.Box
 		o.planCompile.Observe(now.Sub(mapStart).Seconds())
 		o.compilePar.Observe(float64(d.parallelism()))
 	}
-	if err := d.ensureBounded(plan); err != nil {
+	if err := d.ensureSchedule(plan); err != nil {
 		return err
 	}
 	if d.cache != nil {
@@ -397,8 +365,6 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 		need:      sc.allNeeds[rank],
 		allChunks: sc.allChunks,
 		allNeeds:  sc.allNeeds,
-		sendPeers: make([][]int, rounds),
-		recvPeers: make([][]int, rounds),
 	}
 
 	// Discovery: collect the (round, peer) pairs that actually overlap.
@@ -418,17 +384,14 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 				continue
 			}
 			jobs = append(jobs, typeJob{r: r, peer: peer, base: chunk, region: ov})
-			if peer != rank {
-				p.sendPeers[r] = append(p.sendPeers[r], peer)
-			}
 		}
 	}
 	nSend := len(jobs)
 
 	// Receives: my need box against the indexed flattened chunk list.
-	// Flat order is peer-major, so hits arrive with ascending peers and
-	// recvPeers[r] stays sorted without an extra pass; the sparse table is
-	// round-major, so these jobs are bucketed by round below.
+	// Flat order is peer-major, so hits arrive with ascending peers; the
+	// sparse table is round-major, so these jobs are bucketed by round
+	// below.
 	hits = sc.chunkIx.QueryAppend(hits[:0], p.need)
 	for _, id := range hits {
 		peer, r := sc.flatPeer[id], sc.flatRound[id]
@@ -437,9 +400,6 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 			continue
 		}
 		jobs = append(jobs, typeJob{r: r, peer: peer, base: p.need, region: ov, recv: true})
-		if peer != rank {
-			p.recvPeers[r] = append(p.recvPeers[r], peer)
-		}
 	}
 
 	// Lay out the sparse tables: prefix-sum the per-round entry counts
@@ -488,7 +448,6 @@ func (sc *scheduleCompiler) compile(rank, par int) (*Plan, error) {
 			return nil, err
 		}
 	}
-	sc.precomputeFusedFromJobs(p, jobs, nSend)
 	return p, nil
 }
 
@@ -508,67 +467,6 @@ func newPlanEntries(rounds int, jobs []typeJob) planEntries {
 	e.types = make([]datatype.Type, n)
 	e.spans = make([]contigSpan, n)
 	return e
-}
-
-// precomputeFusedFromJobs derives the fused-mode schedule straight from
-// the discovered overlap jobs — O(entries log entries) — instead of the
-// reference compiler's O(R·P) sweep of PackedSize calls over dense
-// tables. The output is identical: per peer, the byte total sums that
-// peer's rounds, and the sole-round election matches the sweep's
-// last-nonempty-then-reset rule because rounds ascend within each run.
-func (sc *scheduleCompiler) precomputeFusedFromJobs(p *Plan, jobs []typeJob, nSend int) {
-	// Send jobs arrive round-major; regroup them peer-major for the
-	// per-peer runs. Receive jobs arrived peer-major already.
-	send := jobs[:nSend]
-	order := make([]int, nSend)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := &send[order[a]], &send[order[b]]
-		if ja.peer != jb.peer {
-			return ja.peer < jb.peer
-		}
-		return ja.r < jb.r
-	})
-	p.fusedSendPeers, p.fusedSendBytes, p.fusedSendOne = fusedRuns(send, order, p.rank, sc.elemSize)
-	p.fusedRecvPeers, p.fusedRecvBytes, p.fusedRecvOne = fusedRuns(jobs[nSend:], nil, p.rank, sc.elemSize)
-}
-
-// fusedRuns walks peer-major jobs (through order when the batch needs
-// reindexing) and folds each peer's run into one fused entry. Self is
-// skipped: the fused exchange moves local data through selfExchange.
-func fusedRuns(jobs []typeJob, order []int, rank, elemSize int) (peers, bytes, one []int) {
-	get := func(i int) *typeJob {
-		if order != nil {
-			return &jobs[order[i]]
-		}
-		return &jobs[i]
-	}
-	for i := 0; i < len(jobs); {
-		peer := get(i).peer
-		total, count, last := 0, 0, -1
-		for ; i < len(jobs); i++ {
-			j := get(i)
-			if j.peer != peer {
-				break
-			}
-			total += j.region.Volume() * elemSize
-			count++
-			last = j.r
-		}
-		if peer == rank {
-			continue
-		}
-		peers = append(peers, peer)
-		bytes = append(bytes, total)
-		if count == 1 {
-			one = append(one, last)
-		} else {
-			one = append(one, -1)
-		}
-	}
-	return peers, bytes, one
 }
 
 // compilePlan builds one rank's plan from the gathered global geometry —

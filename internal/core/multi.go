@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ddr/internal/datatype"
 	"ddr/internal/grid"
 	"ddr/internal/mpi"
 )
@@ -12,10 +11,11 @@ import (
 // The paper limits each rank to a single contiguous receive chunk and
 // names "support for more data patterns" as future work (§V). The
 // MultiDescriptor implements that extension: every rank may both own and
-// need any number of box-shaped chunks. The exchange always runs fused —
-// one message per communicating pair, carrying all chunk×need overlaps in
-// a deterministic order — because the round structure alltoallw relies on
-// has no analogue when receives are fragmented.
+// need any number of box-shaped chunks. The plan lowers to a one-step
+// schedule — one message per communicating pair, carrying all chunk×need
+// overlaps in a deterministic order, on its own tag — because the round
+// structure alltoallw relies on has no analogue when receives are
+// fragmented; the shared interpreter runs it.
 
 // MultiDescriptor describes a many-to-many chunked redistribution.
 type MultiDescriptor struct {
@@ -26,23 +26,19 @@ type MultiDescriptor struct {
 	plan                   *multiPlan
 	cache                  *planCache[*multiPlan]
 	cacheHits, cacheMisses atomic.Int64
+	x                      interp
 }
 
-// multiXfer is one packed region within a pair's fused message.
-type multiXfer struct {
-	buf int // chunk index (send side) or need index (receive side)
-	t   *datatype.Subarray
-}
+// multiTag is the multi-need exchange's tag, distinct from the
+// single-need modes.
+const multiTag = ddrTagBase + 1<<10
 
-// multiPlan is the compiled schedule: per peer, the ordered transfers.
+// multiPlan is the compiled one-step schedule plus its geometry.
 type multiPlan struct {
 	rank     int
 	myChunks []grid.Box
 	myNeeds  []grid.Box
-
-	sendTo   [][]multiXfer // [peer] ordered (chunk, need) overlaps
-	recvFrom [][]multiXfer // [peer] same order from the peer's perspective
-	selfs    []struct{ src, dst multiXfer }
+	sched    *schedule
 
 	wireBytes int64 // bytes this rank sends to other ranks
 	selfBytes int64
@@ -66,6 +62,7 @@ func NewMultiDescriptor(nProcs int, layout Layout, elem ElemType) (*MultiDescrip
 		layout:   layout,
 		elemSize: elem.Size(),
 		cache:    newPlanCache[*multiPlan](8),
+		x:        interp{zcSend: true, zcRecv: true},
 	}, nil
 }
 
@@ -179,15 +176,10 @@ func (d *MultiDescriptor) SetupDataMapping(c *mpi.Comm, own, needs []grid.Box) e
 	}
 
 	rank := c.Rank()
-	p := &multiPlan{
-		rank:     rank,
-		myChunks: allChunks[rank],
-		myNeeds:  allNeeds[rank],
-		sendTo:   make([][]multiXfer, c.Size()),
-		recvFrom: make([][]multiXfer, c.Size()),
-	}
+	p := &multiPlan{rank: rank, myChunks: allChunks[rank], myNeeds: allNeeds[rank]}
 	// Transfers from src to dst, ordered (src chunk, dst need): both sides
-	// enumerate identically, so the fused payload needs no framing.
+	// enumerate identically, so the message needs no framing.
+	var st step
 	pair := func(src, dst int, fn func(ci, ni int, chunk, need, ov grid.Box) error) error {
 		for ci, chunk := range allChunks[src] {
 			for ni, need := range allNeeds[dst] {
@@ -205,23 +197,23 @@ func (d *MultiDescriptor) SetupDataMapping(c *mpi.Comm, own, needs []grid.Box) e
 			continue
 		}
 		err := pair(rank, peer, func(ci, _ int, chunk, _, ov grid.Box) error {
-			st, err := datatype.NewSubarray(d.elemSize, chunk, ov)
+			seg, err := newSegment(ci, d.elemSize, chunk, ov)
 			if err != nil {
 				return err
 			}
-			p.sendTo[peer] = append(p.sendTo[peer], multiXfer{buf: ci, t: st})
-			p.wireBytes += int64(ov.Volume()) * int64(d.elemSize)
+			st.sends = addMessage(st.sends, peer, multiTag, seg)
+			p.wireBytes += int64(seg.n)
 			return nil
 		})
 		if err != nil {
 			return err
 		}
 		err = pair(peer, rank, func(_, ni int, _, need, ov grid.Box) error {
-			rt, err := datatype.NewSubarray(d.elemSize, need, ov)
+			seg, err := newSegment(ni, d.elemSize, need, ov)
 			if err != nil {
 				return err
 			}
-			p.recvFrom[peer] = append(p.recvFrom[peer], multiXfer{buf: ni, t: rt})
+			st.recvs = addMessage(st.recvs, peer, multiTag, seg)
 			return nil
 		})
 		if err != nil {
@@ -230,22 +222,23 @@ func (d *MultiDescriptor) SetupDataMapping(c *mpi.Comm, own, needs []grid.Box) e
 	}
 	// Local overlaps.
 	err = pair(rank, rank, func(ci, ni int, chunk, need, ov grid.Box) error {
-		st, err := datatype.NewSubarray(d.elemSize, chunk, ov)
+		src, err := newSegment(ci, d.elemSize, chunk, ov)
 		if err != nil {
 			return err
 		}
-		rt, err := datatype.NewSubarray(d.elemSize, need, ov)
+		dst, err := newSegment(ni, d.elemSize, need, ov)
 		if err != nil {
 			return err
 		}
-		p.selfs = append(p.selfs, struct{ src, dst multiXfer }{
-			multiXfer{buf: ci, t: st}, multiXfer{buf: ni, t: rt}})
-		p.selfBytes += int64(ov.Volume()) * int64(d.elemSize)
+		st.copies = append(st.copies, localCopy{src: src, dst: dst})
+		p.selfBytes += int64(src.n)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	st.seal()
+	p.sched = &schedule{steps: []step{st}}
 	d.cache.store(p)
 	d.plan = p
 	return nil
@@ -313,57 +306,5 @@ func (d *MultiDescriptor) ReorganizeData(c *mpi.Comm, own, needs [][]byte) error
 		}
 	}
 
-	for _, sf := range p.selfs {
-		wire := mpi.GetBuffer(sf.src.t.PackedSize())
-		sf.src.t.Pack(own[sf.src.buf], wire)
-		sf.dst.t.Unpack(wire, needs[sf.dst.buf])
-		mpi.PutBuffer(wire)
-	}
-	const tag = ddrTagBase + 1<<10 // distinct from the single-need modes
-	var sends []*mpi.Request
-	expect := map[int]int{}
-	for peer := range p.sendTo {
-		total := 0
-		for _, x := range p.sendTo[peer] {
-			total += x.t.PackedSize()
-		}
-		if total > 0 {
-			wire := mpi.GetBuffer(total)
-			off := 0
-			for _, x := range p.sendTo[peer] {
-				off += x.t.Pack(own[x.buf], wire[off:])
-			}
-			sends = append(sends, c.Isend(peer, tag, wire))
-			mpi.PutBuffer(wire) // Isend copies eagerly
-		}
-		recvTotal := 0
-		for _, x := range p.recvFrom[peer] {
-			recvTotal += x.t.PackedSize()
-		}
-		if recvTotal > 0 {
-			expect[peer] = recvTotal
-		}
-	}
-	recvs := map[int]*mpi.Request{}
-	for peer := range expect {
-		recvs[peer] = c.Irecv(peer, tag)
-	}
-	if err := mpi.WaitAll(sends...); err != nil {
-		return err
-	}
-	for peer, req := range recvs {
-		data, _, _, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if len(data) != expect[peer] {
-			return fmt.Errorf("core: expected %d bytes from rank %d, got %d", expect[peer], peer, len(data))
-		}
-		off := 0
-		for _, x := range p.recvFrom[peer] {
-			off += x.t.Unpack(data[off:], needs[x.buf])
-		}
-		mpi.PutBuffer(data)
-	}
-	return nil
+	return d.x.run(nil, c, p.sched, own, needs, 1, 0)
 }

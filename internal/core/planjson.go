@@ -1,5 +1,7 @@
 package core
 
+import "sort"
+
 // The plan summary is the canonical JSON shape of a compiled plan: rounds,
 // per-round peer lists with packed sizes and contiguity spans, and the
 // fused schedule. It is what the golden-plan fixtures under testdata/ pin
@@ -70,17 +72,35 @@ func (p *Plan) Summary() PlanSummary {
 		rd := RoundSummary{Sends: summarizeRound(&p.sendE, r, p.rank), Recvs: summarizeRound(&p.recvE, r, p.rank)}
 		out.RoundPlans = append(out.RoundPlans, rd)
 	}
-	out.FusedSends = []FusedSummary{}
-	for i, peer := range p.fusedSendPeers {
-		out.FusedSends = append(out.FusedSends, FusedSummary{
-			Peer: peer, Bytes: p.fusedSendBytes[i], One: p.fusedSendOne[i],
-		})
+	out.FusedSends = fusedSummary(&p.sendE, p.rank, p.rounds)
+	out.FusedRecvs = fusedSummary(&p.recvE, p.rank, p.rounds)
+	return out
+}
+
+// fusedSummary folds one direction's round entries into the fused
+// exchange's per-peer messages, peers ascending: the message's total
+// bytes and, when exactly one round contributes, that round's index
+// (-1 otherwise). Self entries move no wire bytes and are skipped.
+func fusedSummary(e *planEntries, rank, rounds int) []FusedSummary {
+	at := map[int]int{} // peer → index in out
+	out := []FusedSummary{}
+	for r := 0; r < rounds; r++ {
+		for i := e.off[r]; i < e.off[r+1]; i++ {
+			peer := e.peers[i]
+			if peer == rank {
+				continue
+			}
+			j, ok := at[peer]
+			if !ok {
+				j = len(out)
+				at[peer] = j
+				out = append(out, FusedSummary{Peer: peer, One: r})
+			} else {
+				out[j].One = -1
+			}
+			out[j].Bytes += e.types[i].PackedSize()
+		}
 	}
-	out.FusedRecvs = []FusedSummary{}
-	for i, peer := range p.fusedRecvPeers {
-		out.FusedRecvs = append(out.FusedRecvs, FusedSummary{
-			Peer: peer, Bytes: p.fusedRecvBytes[i], One: p.fusedRecvOne[i],
-		})
-	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Peer < out[b].Peer })
 	return out
 }

@@ -93,15 +93,15 @@ func TestStatsMatchBruteForce(t *testing.T) {
 
 // TestExchangeModesAgree verifies all three exchange modes produce
 // identical results for the same random geometry, across engine
-// configurations: the default (pooled, zero-copy, GOMAXPROCS workers),
-// the fully disabled legacy path, and an explicit multi-worker pool.
+// configurations: the default (zero-copy, GOMAXPROCS workers), the
+// serial fully staged legacy path, and an explicit multi-worker pool.
 func TestExchangeModesAgree(t *testing.T) {
 	configs := []struct {
 		name string
 		opts []Option
 	}{
 		{"default", nil},
-		{"legacy", []Option{WithParallelism(1), WithBufferPooling(false), WithZeroCopy(false)}},
+		{"legacy", []Option{WithParallelism(1), WithZeroCopy(false)}},
 		{"par2", []Option{WithParallelism(2)}},
 	}
 	for trial := 0; trial < 8; trial++ {

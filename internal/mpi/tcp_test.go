@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ddr/internal/obs"
 )
@@ -409,8 +410,16 @@ func TestTCPStatsCoalescing(t *testing.T) {
 			if _, _, _, err := c.Recv(1, 0); err != nil {
 				return err
 			}
-			if tt, ok := c.tr.(*tcpTransport); ok {
-				stats = tt.ep.Stats()
+			tt, ok := c.tr.(*tcpTransport)
+			if !ok {
+				return nil
+			}
+			// The writer counts a batch after its WriteTo returns, so the
+			// receiver's ack can overtake the count of the last batch:
+			// poll until every frame is accounted for.
+			deadline := time.Now().Add(5 * time.Second)
+			for stats = tt.ep.Stats(); stats.FramesOut < 256 && time.Now().Before(deadline); stats = tt.ep.Stats() {
+				time.Sleep(time.Millisecond)
 			}
 			return nil
 		}

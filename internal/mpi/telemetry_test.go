@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ddr/internal/datatype"
@@ -24,8 +25,14 @@ func TestTelemetryTCPAlltoallw(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := trace.NewRecorder()
 
+	// Frames that reach a rank before it attaches its telemetry would go
+	// uncounted on that side, so every rank attaches before any sends.
+	var attached sync.WaitGroup
+	attached.Add(n)
 	err := RunTCP(n, func(c *Comm) error {
 		c.AttachTelemetry(NewTelemetry(reg, rec, c.Rank()))
+		attached.Done()
+		attached.Wait()
 		sendTypes := make([]datatype.Type, n)
 		recvTypes := make([]datatype.Type, n)
 		for i := range sendTypes {
